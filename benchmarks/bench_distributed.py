@@ -5,7 +5,7 @@ wall-clock of an uncached, compute-bound grid nearly in half.  Two fleets
 are measured over localhost sockets -- one subprocess worker vs. two --
 running the identical 24-job bench-scale grid, interleaved best-of-3 so
 ambient load hits both fleets evenly.  The grid is sized so simulation
-dominates transport (~60 ms/job vs. ~1 ms of framing), which is exactly the
+dominates transport (~35 ms/job vs. ~1 ms of framing), which is exactly the
 regime the coordinator's guided chunking is designed for.
 
 Gate: >= 1.8x speedup for 2 workers vs. 1.  The gate only arms on hosts
@@ -39,7 +39,7 @@ CONFIGS = [ArchConfig.from_name(name) for name in ("2c4w8t", "4c8w8t")]
 
 
 def _grid():
-    """24 unique bench-scale sgemm points: compute-bound, ~60 ms each."""
+    """24 unique bench-scale sgemm points: compute-bound, ~35 ms each."""
     specs = []
     for seed in range(JOBS // (len(CONFIGS) * 2)):
         for config in CONFIGS:

@@ -28,7 +28,8 @@ import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.dist.protocol import Connection, ProtocolError, connect
+from repro.campaign.dist.protocol import (Connection, ProtocolError,
+                                         close_socket, connect)
 from repro.campaign.result import JobResult
 from repro.campaign.spec import JobSpec
 from repro.telemetry.recorder import RECORDER
@@ -59,7 +60,7 @@ class CacheServer:
             try:
                 sock, _ = self._listener.accept()
             except OSError:
-                return                    # listener closed by close()
+                return                    # listener shut down by close()
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection = Connection(sock)
             with self._lock:
@@ -129,10 +130,7 @@ class CacheServer:
         if self._closing:
             return
         self._closing = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        close_socket(self._listener)
         with self._lock:
             connections = list(self._connections)
         for connection in connections:

@@ -52,6 +52,7 @@ from repro.campaign.dist.cache_server import CacheServer
 from repro.campaign.dist.protocol import (
     Connection,
     ProtocolError,
+    close_socket,
     format_address,
 )
 from repro.campaign.executor import ExecutorCompletion, ExecutorTask
@@ -257,7 +258,7 @@ class DistributedExecutor:
             try:
                 sock, _ = self._listener.accept()
             except OSError:
-                return                    # listener closed
+                return                    # listener shut down by close()
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(target=self._reader, args=(Connection(sock),),
                              name="dist-reader", daemon=True).start()
@@ -415,10 +416,13 @@ class DistributedExecutor:
                 self._worker_lost(worker)  # re-queues the chunk immediately
 
     def _monitor_loop(self) -> None:
-        while not self._closing:
-            time.sleep(self.heartbeat_interval)
-            cutoff = time.time() - self.heartbeat_timeout
-            with self._lock:
+        while True:
+            with self._wake:
+                # close() notifies, so shutdown never waits out an interval.
+                if self._wake.wait_for(lambda: self._closing,
+                                       timeout=self.heartbeat_interval):
+                    return
+                cutoff = time.time() - self.heartbeat_timeout
                 stale = [worker for worker in self._workers.values()
                          if worker.last_seen < cutoff]
             for worker in stale:
@@ -445,10 +449,7 @@ class DistributedExecutor:
             except OSError:
                 pass
             worker.connection.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        close_socket(self._listener)
         if self.cache_server is not None:
             self.cache_server.close()
         for process in self._local_processes:

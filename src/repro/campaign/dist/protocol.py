@@ -119,14 +119,24 @@ class Connection:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        close_socket(self.sock)
+
+
+def close_socket(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it; never raises.
+
+    The shutdown is what wakes a thread blocked on the socket: on Linux a
+    bare ``close()`` leaves ``recv()`` -- and a listener's ``accept()`` --
+    parked.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def connect(address: Union[str, Tuple[str, int]],

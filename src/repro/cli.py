@@ -17,15 +17,15 @@ Exposes the library's main workflows without writing Python::
     python -m repro warehouse sync
     python -m repro warehouse query "SELECT problem, MIN(cycles) FROM jobs GROUP BY problem"
     python -m repro warehouse report best-lws
-    python -m repro --engine fast run sgemm --config 4c8w8t
+    python -m repro --engine reference run sgemm --config 4c8w8t
     python -m repro --telemetry scenario run scaling --scale smoke --progress
     python -m repro telemetry summary
     python -m repro telemetry export prometheus -o metrics.prom
 
-``--engine {reference,fast,batch}`` (or the ``REPRO_ENGINE`` environment
-variable) selects the simulation engine for every launch of the invocation.
-The three engines are bit-identical -- same cycles, counters and output
-buffers, enforced by ``tests/test_engine_differential.py`` and
+``--engine {reference,fast}`` (or the ``REPRO_ENGINE`` environment variable)
+selects the simulation engine for every launch of the invocation; ``fast`` is
+the default.  The two engines are bit-identical -- same cycles, counters and
+output buffers, enforced by ``tests/test_engine_differential.py`` and
 ``tests/test_engine_fuzz.py`` -- so the choice never affects results, only
 wall-clock time.
 
@@ -99,7 +99,7 @@ from repro.scenarios import (
 from repro.scenarios.library import figure2_result_from_run
 from repro.service.queue import SERVICE_DIR_ENV
 from repro.sim.config import ArchConfig
-from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ENV, ENGINES
+from repro.sim.engine import DEFAULT_ENGINE, ENGINE_ENV, ENGINES, resolve_engine
 from repro.telemetry.export import (
     render_summary as render_telemetry_summary,
     summarize,
@@ -209,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "kernel mapping (IISWC 2023 reproduction).",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
+        "--engine", metavar="{" + ",".join(ENGINES) + "}", default=None,
         help="simulation engine driving every launch of this invocation "
-             f"(default: ${ENGINE_ENV} or '{DEFAULT_ENGINE}').  All engines "
+             f"(default: ${ENGINE_ENV} or '{DEFAULT_ENGINE}').  Both engines "
              "produce bit-identical cycles, counters and output buffers; "
-             "'fast' and 'batch' are simply quicker.",
+             "'fast' is simply quicker and 'reference' is the auditable oracle.",
     )
     parser.add_argument(
         "--telemetry", action="store_true",
@@ -1004,9 +1004,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Device() resolves the engine wherever one is built and worker
     # processes inherit both variables.  Restored afterwards so in-process
     # callers (tests) are unaffected.
+    # Validated up front (flag, else environment), so an unknown engine
+    # fails with EngineError before any command starts.
+    engine = resolve_engine(args.engine)
     overrides = {}
     if args.engine is not None:
-        overrides[ENGINE_ENV] = args.engine
+        overrides[ENGINE_ENV] = engine
     if args.telemetry:
         overrides[TELEMETRY_ENV] = "1"
     previous = {env: os.environ.get(env) for env in overrides}

@@ -31,12 +31,11 @@ class Device:
     # ------------------------------------------------------------------ hardware queries
     @property
     def engine(self) -> str:
-        """Simulation engine driving this device (``"reference"``, ``"fast"``
-        or ``"batch"``).
+        """Simulation engine driving this device (``"fast"`` by default, or
+        ``"reference"``).
 
-        All engines produce bit-identical results (cycles, counters, output
-        buffers); ``fast`` and ``batch`` are simply quicker.  See
-        :mod:`repro.sim.engine`.
+        Both engines produce bit-identical results (cycles, counters, output
+        buffers); ``fast`` is simply quicker.  See :mod:`repro.sim.engine`.
         """
         return self.gpu.engine
 

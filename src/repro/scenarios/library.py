@@ -9,7 +9,7 @@ Importing this module registers every built-in scenario in the process-wide
   record-conversion helpers, so the numbers are bit-identical), and
 * four sweeps the declarative layer makes cheap -- ``scaling`` (cores 1..32
   at fixed gws), ``scheduler-sweep`` (RR vs GTO across kernels),
-  ``engine-compare`` (reference vs fast vs batch wall time on identical grids) and
+  ``engine-compare`` (reference vs fast wall time on identical grids) and
   ``cache-sensitivity`` (L1/L2 capacity sweep).
 
 Each scenario is a grid declaration plus an analysis function over sink
@@ -45,6 +45,7 @@ from repro.experiments.report import (
 from repro.scenarios.registry import register
 from repro.scenarios.spec import GridAxes, RUNTIME_STRATEGY, Scenario, ScenarioContext
 from repro.sim.config import FIGURE1_CONFIG, ArchConfig
+from repro.sim.engine import ENGINES
 
 #: The default workload set of the sweep-style scenarios (the CLI's
 #: ``--kernels`` default); the paper's five math kernels.
@@ -244,7 +245,7 @@ def _engine_grid(context: ScenarioContext) -> GridAxes:
         problems=context.problems if context.problems else ("vecadd", "sgemm"),
         configs=(ArchConfig(cores=4, warps_per_core=8, threads_per_warp=8),),
         strategies=("ours",),
-        engines=("reference", "fast", "batch"),
+        engines=ENGINES,
         call_simulation_limit=None if context.exact_calls else 3,
     )
 
@@ -260,7 +261,7 @@ def _engine_analyze(run) -> str:
         by_point[point][str(record.meta["engine"])] = record.result
     # Column order follows the grid's engine tiers: reference first, then
     # each accelerated engine with its wall-time ratio over the reference.
-    engines = [e for e in ("reference", "fast", "batch")
+    engines = [e for e in ENGINES
                if any(e in engines_at for engines_at in by_point.values())]
     accelerated = [e for e in engines if e != "reference"]
     rows = []
@@ -384,7 +385,7 @@ SCHEDULER_SCENARIO = register(Scenario(
 
 ENGINE_COMPARE_SCENARIO = register(Scenario(
     name="engine-compare",
-    description="reference vs fast vs batch engines: bit-identical counters, wall-time ratios",
+    description="reference vs fast engines: bit-identical counters, wall-time ratios",
     grid=_engine_grid,
     analyze=_engine_analyze,
     cacheable=False,

@@ -1,28 +1,20 @@
 """Simulation-engine selection.
 
-The simulator ships three engines that produce **bit-identical** results:
+The simulator ships two engines that produce **bit-identical** results:
 
+* ``"fast"`` (the default) -- the optimised engine in
+  :mod:`repro.sim.fastcore`.  It event-skips (a core whose every warp is
+  stalled is not re-scanned until its ``next_event_hint`` cycle) and
+  vectorises per-lane execution with numpy (ALU/FPU lanes, load/store address
+  generation and coalescing are batched per warp instead of per lane).
 * ``"reference"`` -- the original, straight-line cycle model in
   :mod:`repro.sim.core`.  Easy to read, easy to audit, and the oracle the
-  differential test layer checks the other engines against.
-* ``"fast"`` -- the optimised engine in :mod:`repro.sim.fastcore`.  It
-  event-skips (a core whose every warp is stalled is not re-scanned until its
-  ``next_event_hint`` cycle) and vectorises per-lane execution with numpy
-  (ALU/FPU lanes, load/store address generation and coalescing are batched
-  per warp instead of per lane).
-* ``"batch"`` -- the trace-compiled engine in :mod:`repro.sim.batchcore` /
-  :mod:`repro.sim.compile`.  A one-time compile pass per (program, config)
-  classifies every PC and segments straight-line blocks; at run time whole
-  *rounds* of warps execute each PC as a single 2-D numpy operation across
-  all resident warps of a core (one gather/scatter per PC per core instead
-  of per warp), with cross-warp masking for divergence.  Any state the
-  compiler cannot prove schedule-exact falls back to the ``fast`` engine's
-  issue loop, so equivalence holds by construction.
+  differential test layer checks ``fast`` against.
 
 Because the engines are equivalent by construction *and by test*
 (``tests/test_engine_differential.py``, ``tests/test_engine_fuzz.py``), the
 engine choice deliberately never enters a campaign job's content hash: a
-result cached under one engine is valid under the others.
+result cached under one engine is valid under the other.
 """
 
 from __future__ import annotations
@@ -31,10 +23,10 @@ import os
 from typing import Optional, Tuple
 
 #: Engine names accepted everywhere an engine can be chosen.
-ENGINES: Tuple[str, ...] = ("reference", "fast", "batch")
+ENGINES: Tuple[str, ...] = ("reference", "fast")
 
 #: Engine used when none is requested (and the environment does not override).
-DEFAULT_ENGINE = "reference"
+DEFAULT_ENGINE = "fast"
 
 #: Environment variable consulted when no engine is passed explicitly, so whole
 #: test/benchmark runs can be flipped without touching call sites.

@@ -12,14 +12,12 @@ clock jumps directly to the earliest cycle at which any core may issue again
 with long memory stalls or mostly-idle machines simulate quickly without
 changing the cycle arithmetic.
 
-Three interchangeable engines drive the loop (see :mod:`repro.sim.engine`):
-the ``reference`` engine re-scans every busy core every cycle, the ``fast``
-engine additionally caches each stalled core's ``next_event_hint`` and runs
-lane execution vectorised (:mod:`repro.sim.fastcore`), and the ``batch``
-engine compiles each (program, config) once and streams whole rounds of warps
-per core as single 2-D numpy operations (:mod:`repro.sim.batchcore`).  All
-three produce bit-identical cycles, counters and memory contents -- the
-differential test suite holds them to that.
+Two interchangeable engines drive the loop (see :mod:`repro.sim.engine`):
+the ``reference`` engine re-scans every busy core every cycle, and the
+``fast`` engine (the default) additionally caches each stalled core's
+``next_event_hint`` and runs lane execution vectorised
+(:mod:`repro.sim.fastcore`).  Both produce bit-identical cycles, counters and
+memory contents -- the differential test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -71,10 +69,9 @@ class Gpu:
         self.hierarchy = MemoryHierarchy(config)
         self.tracer = tracer
         self.engine = resolve_engine(engine)
-        # program id -> (program, decoded-or-compiled) kept by the fast and
-        # batch engines so a program is decoded (and, for batch, compiled)
-        # once per launch instead of once per core per call (the program
-        # reference pins the id against reuse).
+        # program id -> (program, decoded) kept by the fast engine so a
+        # program is decoded once per launch instead of once per core per
+        # call (the program reference pins the id against reuse).
         self._decode_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -99,15 +96,11 @@ class Gpu:
         # Phase timers are pure observers -- wall-clock reads behind a single
         # enabled check, never touching the cycle arithmetic, so both engines
         # stay bit-identical with telemetry on or off.
+        run_loop = self._run_fast if self.engine == "fast" else self._run_reference
         if not RECORDER.enabled:
             cores = self._build_cores(program, launches, counters)
             active_cores: List[SimtCore] = list(cores.values())
-            if self.engine == "fast":
-                cycle = self._run_fast(active_cores, counters, max_cycles)
-            elif self.engine == "batch":
-                cycle = self._run_batch(active_cores, counters, max_cycles)
-            else:
-                cycle = self._run_reference(active_cores, counters, max_cycles)
+            cycle = run_loop(active_cores, counters, max_cycles)
             counters.cycles = cycle
             counters.warps_launched = len(launches)
             self._fold_memory_statistics(counters)
@@ -117,12 +110,7 @@ class Gpu:
         cores = self._build_cores(program, launches, counters)
         active_cores = list(cores.values())
         t1 = time.perf_counter()
-        if self.engine == "fast":
-            cycle = self._run_fast(active_cores, counters, max_cycles)
-        elif self.engine == "batch":
-            cycle = self._run_batch(active_cores, counters, max_cycles)
-        else:
-            cycle = self._run_reference(active_cores, counters, max_cycles)
+        cycle = run_loop(active_cores, counters, max_cycles)
         t2 = time.perf_counter()
         counters.cycles = cycle
         counters.warps_launched = len(launches)
@@ -187,26 +175,12 @@ class Gpu:
 
         return run_fast(active_cores, counters, max_cycles, self.tracer)
 
-    def _run_batch(self, active_cores: List[SimtCore], counters: PerfCounters,
-                   max_cycles: Optional[int]) -> int:
-        """Streaming loop used by the ``batch`` engine.
-
-        Commits whole rounds of warps per core where a vectorized guard proves
-        the exact reference schedule, and falls back to the fast engine's
-        visited-cycle body everywhere else.  Lives in
-        :func:`repro.sim.batchcore.run_batch`.
-        """
-        from repro.sim.batchcore import run_batch
-
-        return run_batch(active_cores, counters, max_cycles, self.tracer)
-
     # ------------------------------------------------------------------ helpers
     def _build_cores(self, program: Program, launches: Sequence[WarpLaunch],
                      counters: PerfCounters) -> Dict[int, SimtCore]:
         from repro.sim.warp import FastWarp, Warp  # local import to avoid a cycle in docs builds
 
-        decoded = None
-        compiled = None
+        core_options = {}
         if self.engine == "fast":
             from repro.sim.fastcore import FastSimtCore, decode_program
             core_cls, warp_cls = FastSimtCore, FastWarp
@@ -216,25 +190,7 @@ class Gpu:
                     self._decode_cache.clear()
                 cached = (program, decode_program(program, self.config))
                 self._decode_cache[id(program)] = cached
-            decoded = cached[1]
-        elif self.engine == "batch":
-            from repro.sim.batchcore import BatchSimtCore
-            from repro.sim.compile import compile_program
-            core_cls, warp_cls = BatchSimtCore, FastWarp
-            cached = self._decode_cache.get(id(program))
-            if cached is None or cached[0] is not program:
-                if len(self._decode_cache) > 8:
-                    self._decode_cache.clear()
-                if RECORDER.enabled:
-                    t0 = time.perf_counter()
-                    cached = (program, compile_program(program, self.config))
-                    RECORDER.observe("engine.batch.compile_seconds",
-                                     time.perf_counter() - t0)
-                    RECORDER.count("engine.batch.compiles")
-                else:
-                    cached = (program, compile_program(program, self.config))
-                self._decode_cache[id(program)] = cached
-            compiled = cached[1]
+            core_options["decoded"] = cached[1]
         else:
             core_cls, warp_cls = SimtCore, Warp
 
@@ -252,18 +208,9 @@ class Gpu:
                 )
             core = cores.get(launch.core_id)
             if core is None:
-                if compiled is not None:
-                    core = core_cls(launch.core_id, self.config, program,
-                                    self.hierarchy, self.memory, counters,
-                                    tracer=self.tracer, compiled=compiled)
-                elif decoded is not None:
-                    core = core_cls(launch.core_id, self.config, program,
-                                    self.hierarchy, self.memory, counters,
-                                    tracer=self.tracer, decoded=decoded)
-                else:
-                    core = core_cls(launch.core_id, self.config, program,
-                                    self.hierarchy, self.memory, counters,
-                                    tracer=self.tracer)
+                core = core_cls(launch.core_id, self.config, program,
+                                self.hierarchy, self.memory, counters,
+                                tracer=self.tracer, **core_options)
                 cores[launch.core_id] = core
             warp = warp_cls(
                 warp_id=launch.warp_id,

@@ -5,8 +5,8 @@ Two families of *unregistered* kernels back the differential and fuzz suites
 workloads, and ``test_grid_covers_all_library_kernels`` pins that):
 
 * hand-written divergence-stress kernels -- an irregular nested-branch storm
-  and a strided-gather kernel -- built to defeat the batch engine's
-  uniform-PC streaming so its per-warp fallback path is exercised hard;
+  and a strided-gather kernel -- that keep warps off uniform PCs and full
+  masks, so the fast engine's divergent-selection paths are exercised hard;
 * :func:`make_fuzz_kernel`, a deterministic random-program generator.  A
   small JSON-able *spec* (seed, machine shape, launch geometry, program
   depth) fully determines the kernel, so every case can be replayed
@@ -45,8 +45,8 @@ def make_branch_storm_kernel() -> Kernel:
 
     Adjacent lanes take different sides of *nested* SPLIT/JOIN pairs and run
     data-dependent loop trip counts, so warps almost never sit at a uniform
-    PC -- the batch engine must detect the divergence and fall back to the
-    per-warp path without perturbing a single cycle.
+    PC -- the fast engine's partial-mask selections must not perturb a
+    single cycle.
     """
 
     def _body(b: KernelBuilder, gid: Value, args: Mapping[str, Value]) -> None:
@@ -91,9 +91,9 @@ def make_strided_gather_kernel(size: int, stride: int = 7) -> Kernel:
     """Strided gather: each lane loads ``a[(gid * stride) % size]`` plus a
     second shifted index, then mixes them through a ``gid % 3`` loop.
 
-    The scattered addresses span many cache lines per warp, producing ragged
-    memory rounds -- exactly the shape where the batch engine's streaming
-    window has to respect per-warp LSU hold gaps or give up.
+    The scattered addresses span many cache lines per warp, so every memory
+    instruction holds the LSU for several cycles and the fast engine's
+    batched line walks must replay the reference's per-line timing exactly.
     """
 
     def _body(b: KernelBuilder, gid: Value, args: Mapping[str, Value]) -> None:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.engine import EngineError
 
 
 def test_parser_lists_all_subcommands():
@@ -30,6 +31,21 @@ def test_grid_flags_are_shared_across_sweep_campaign_and_scenario(capsys):
 def test_missing_subcommand_exits_with_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv, environment", [
+    (["--engine", "batch"], None),
+    ([], "batch"),
+], ids=["flag", "environment"])
+def test_removed_batch_engine_fails_before_the_command_runs(argv, environment,
+                                                            monkeypatch, capsys):
+    if environment is None:
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_ENGINE", environment)
+    with pytest.raises(EngineError, match="'reference', 'fast'"):
+        main(argv + ["info", "--config", "1c2w4t"])
+    assert capsys.readouterr().out == ""
 
 
 def test_info_command_reports_machine_and_eq1(capsys):

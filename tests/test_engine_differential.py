@@ -1,8 +1,7 @@
-"""Differential test layer: ``fast`` and ``batch`` against the reference oracle.
+"""Differential test layer: ``fast`` against the reference oracle.
 
-The accelerated engines (:mod:`repro.sim.fastcore` with the event-skipping
-loop, and :mod:`repro.sim.batchcore` with cross-warp streaming on top of it)
-promise **bit-identical** results to the reference engine -- not
+The accelerated engine (:mod:`repro.sim.fastcore` with the event-skipping
+loop) promises **bit-identical** results to the reference engine -- not
 statistically close, not within a tolerance: identical.  This suite holds
 every engine in :data:`repro.sim.engine.ENGINES` to that across every
 library kernel:
@@ -10,11 +9,10 @@ library kernel:
 * every workload x several machine shapes x every engine: identical cycles,
   identical output buffers (``np.array_equal``, so NaNs and signed zeros
   would fail), and every single :class:`~repro.sim.stats.PerfCounters` field;
-* identical *issue traces*: event skipping may jump the clock and batch
-  streaming may commit whole uniform rounds at once, but neither may reorder
-  or retime a single instruction issue;
+* identical *issue traces*: event skipping may jump the clock, but it may
+  not reorder or retime a single instruction issue;
 * the divergence-stress fixtures (``tests/engine_fixtures.py``) run the same
-  grid, hammering the batch engine's fallback transitions;
+  grid, keeping warps off uniform PCs and masks;
 * identical campaign content hashes: the engine is a presentation/performance
   concern, so a result cached under one engine must be served under the other.
 
@@ -65,7 +63,7 @@ def test_grid_covers_all_library_kernels():
 @pytest.mark.parametrize("config_name", CONFIG_NAMES)
 @pytest.mark.parametrize("problem_name", ALL_PROBLEMS)
 def test_engines_bit_identical(problem_name, config_name):
-    """The full 9-kernel x 3-shape x 3-engine matrix."""
+    """The full 9-kernel x 3-shape x 2-engine matrix."""
     results = {engine: run_problem(problem_name, config_name, engine)
                for engine in ENGINES}
     reference = results["reference"]
@@ -98,8 +96,7 @@ def test_engines_bit_identical(problem_name, config_name):
 
 @pytest.mark.parametrize("problem_name", ["vecadd", "sgemm", "gaussian"])
 def test_event_skipping_preserves_issue_order(problem_name):
-    """Neither the fast loop's clock jumps nor the batch engine's streamed
-    rounds may reorder a single issue.
+    """The fast loop's clock jumps may not reorder a single issue.
 
     Compared as full event tuples: cycle, core, warp, pc, opcode, mask and
     call index of every instruction issue, in issue order.
@@ -201,10 +198,10 @@ def test_integer_ops_keep_exact_python_semantics():
         div(None, warp, 0)
 
 
-@pytest.mark.parametrize("engine", ["fast", "batch"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_repeated_launches_are_stable(engine):
-    """Neither the fast decode cache nor the batch compile cache may leak
-    state across launches."""
+    """Repeated launches agree (the fast engine's decode cache may not leak
+    state across launches)."""
     first = run_problem("saxpy", "4c4w8t", engine)
     second = run_problem("saxpy", "4c4w8t", engine)
     assert first.cycles == second.cycles
@@ -223,8 +220,8 @@ _STRESS_SIZE = 64
     lambda: make_strided_gather_kernel(_STRESS_SIZE),
 ], ids=["branch_storm", "strided_gather"])
 def test_divergence_stress_fixtures_bit_identical(make_kernel, config_name):
-    """Irregular branching and strided gathers keep warps off uniform PCs,
-    forcing the batch engine through its stream/fallback transitions."""
+    """Irregular branching and strided gathers keep warps off uniform PCs
+    and full masks, exercising the fast engine's divergent-selection paths."""
     kernel = make_kernel()
     results = run_engines(kernel, stress_arguments(_STRESS_SIZE),
                           ArchConfig.from_name(config_name), _STRESS_SIZE)
@@ -257,6 +254,26 @@ def test_device_exposes_engine_name(monkeypatch):
 def test_unknown_engine_rejected():
     with pytest.raises(EngineError):
         Device(ArchConfig.from_name("1c2w4t"), engine="warp-drive")
+
+
+def test_fast_is_the_default_engine(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert ENGINES == ("reference", "fast")
+    assert resolve_engine() == "fast"
+    assert Device(ArchConfig.from_name("1c2w4t")).engine == "fast"
+
+
+def test_removed_batch_engine_is_rejected(monkeypatch):
+    """``batch`` is gone: asking for it names both remaining engines."""
+    with pytest.raises(EngineError) as explicit:
+        Device(ArchConfig.from_name("1c2w4t"), engine="batch")
+    monkeypatch.setenv("REPRO_ENGINE", "batch")
+    with pytest.raises(EngineError) as from_environment:
+        resolve_engine()
+    for error in (explicit, from_environment):
+        message = str(error.value)
+        assert "'batch'" in message
+        assert "'reference'" in message and "'fast'" in message
 
 
 def test_engine_environment_fallback(monkeypatch):

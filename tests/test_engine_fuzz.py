@@ -1,7 +1,7 @@
-"""Random-program fuzzing across all three engines.
+"""Random-program fuzzing across both engines.
 
-Every generated program is launched under ``reference``, ``fast`` and
-``batch`` on the same machine shape and must produce bit-identical cycles,
+Every generated program is launched under ``reference`` and ``fast`` on the
+same machine shape and must produce bit-identical cycles,
 every PerfCounters field and every output buffer (see
 ``tests/engine_fixtures.py`` for the generator and the oracle).
 
@@ -52,7 +52,7 @@ spec_strategy = st.fixed_dictionaries({
 @settings(max_examples=60)
 @given(spec=spec_strategy)
 def test_fuzzed_programs_bit_identical(spec):
-    """Always-on sweep: 60 random programs through all three engines."""
+    """Always-on sweep: 60 random programs through both engines."""
     run_fuzz_case(spec)
 
 

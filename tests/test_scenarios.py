@@ -337,8 +337,7 @@ class TestNewScenarios:
         cache = ResultCache(tmp_path)
         runner = CampaignRunner(cache=cache)
         run = Planner(runner=runner).run(REGISTRY.get("engine-compare"), SMOKE)
-        assert {r.meta["engine"] for r in run.records} == \
-            {"reference", "fast", "batch"}
+        assert {r.meta["engine"] for r in run.records} == {"reference", "fast"}
         assert "bit-identical on every point" in run.report()
         # cacheable=False: the engine comparison must never read or write the
         # cache (a cache-served point would time nothing).
