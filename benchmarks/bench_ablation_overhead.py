@@ -2,17 +2,22 @@
 
 The penalty of the naive lws=1 mapping is driven by the per-call launch
 overhead, a micro-architecture/runtime parameter of the simulated platform
-(DESIGN.md calls this out as the main calibration knob of the reproduction).
-This ablation sweeps the overhead from 0 to 1024 cycles and records the
-lws=1-vs-ours ratio at each point; the ratio must grow monotonically with the
-overhead and stay at (or above) 1.0 even for a free launch.
+and the main calibration knob of the reproduction.  This ablation sweeps the
+overhead from 0 to 1024 cycles on 4c4w8t and records the lws=1-vs-ours ratio
+at each point; the ratio must grow monotonically with the overhead and stay
+at (or above) 1.0 even for a free launch.  The grid is an unregistered
+scenario with one sub-grid per overhead, like the registered ``ablation``.
 Results land in ``benchmarks/results/ablation_overhead.md``.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.ablation import overhead_sensitivity
+from repro.experiments.ablation import overhead_records
+from repro.experiments.figure2 import DEFAULT_CALL_SIMULATION_LIMIT
 from repro.experiments.report import render_table
+from repro.scenarios import GridAxes, Planner, Scenario, ScenarioContext
 from repro.sim.config import ArchConfig
 
 from benchmarks.conftest import scale_from_env, write_result
@@ -20,15 +25,31 @@ from benchmarks.conftest import scale_from_env, write_result
 OVERHEADS = (0, 16, 32, 64, 256, 1024)
 CONFIG = ArchConfig.from_name("4c4w8t")
 
+OVERHEAD_SWEEP = Scenario(
+    name="ablation-overhead",
+    description="vecadd lws=1 vs ours across launch overheads on 4c4w8t",
+    grid=[
+        GridAxes(
+            problems=("vecadd",),
+            configs=(replace(CONFIG, kernel_launch_overhead=overhead),),
+            strategies=("naive-lws1", "hardware-aware"),
+            call_simulation_limit=DEFAULT_CALL_SIMULATION_LIMIT,
+        )
+        for overhead in OVERHEADS
+    ],
+    analyze=lambda run: "",
+)
+
+
+def _sweep():
+    jobs = Planner().run(OVERHEAD_SWEEP, ScenarioContext(scale=scale_from_env())).results()
+    return overhead_records(OVERHEADS, [
+        (naive.cycles, ours.cycles) for naive, ours in zip(jobs[::2], jobs[1::2])])
+
 
 @pytest.mark.benchmark(group="ablation")
-def test_launch_overhead_sensitivity(benchmark):
-    records = benchmark.pedantic(
-        overhead_sensitivity,
-        kwargs={"problem_name": "vecadd", "scale": scale_from_env(), "config": CONFIG,
-                "overheads": OVERHEADS},
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+def test_launch_overhead_ablation(benchmark):
+    records = benchmark.pedantic(_sweep, rounds=1, iterations=1, warmup_rounds=0)
     table = render_table(
         ["launch overhead (cycles)", "lws=1 cycles", "ours cycles", "lws=1 / ours"],
         [[str(r.launch_overhead), str(r.naive_cycles), str(r.ours_cycles),

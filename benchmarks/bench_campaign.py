@@ -1,7 +1,8 @@
 """Benchmark E6 -- the campaign engine: cache reuse and parallel scaling.
 
-Two measurements on the Figure-2 grid (``REPRO_SWEEP``/``REPRO_SCALE``
-reduced by default, like the other benchmarks):
+Two measurements on the ``figure2`` scenario's grid, run through the
+scenario planner (``REPRO_SWEEP``/``REPRO_SCALE`` reduced by default, like
+the other benchmarks):
 
 * cold vs. warm cache: the first campaign simulates every grid point and
   persists the summaries; the second run of the identical grid must perform
@@ -21,17 +22,15 @@ import time
 import pytest
 
 from repro.campaign import CampaignRunner, ResultCache
-from repro.experiments.figure2 import run_figure2
+from repro.scenarios import REGISTRY
 
-from benchmarks.conftest import call_limit_from_env, scale_from_env, sweep_from_env, write_result
+from benchmarks.conftest import sweep_result, write_result
 
 KERNELS = ("vecadd", "relu")
 
 
 def _run(runner):
-    return run_figure2(KERNELS, sweep_from_env(), scale=scale_from_env(),
-                       call_simulation_limit=call_limit_from_env(),
-                       seed=0, runner=runner)
+    return sweep_result(REGISTRY.get("figure2"), KERNELS, runner=runner)
 
 
 @pytest.mark.benchmark(group="campaign")

@@ -7,7 +7,8 @@ E4: a hardware-agnostic lws can be "up to 20x slower" on some configuration,
 and Eq. 1 degenerates to lws=1 whenever the machine is larger than the
 problem.
 
-The measured numbers (on the reduced default grid) are written to
+The ``claims`` scenario's grid runs through the planner; the measured
+numbers (on the reduced default grid) are written to
 ``benchmarks/results/claims.txt`` together with the paper's values; absolute
 agreement is not expected (different simulator, reduced sizes), the assertions
 only pin the direction of every claim.
@@ -16,17 +17,16 @@ only pin the direction of every claim.
 import pytest
 
 from repro.experiments.claims import evaluate_claims
-from repro.experiments.figure2 import run_figure2
+from repro.scenarios import REGISTRY
 from repro.workloads.problems import make_problem
 
-from benchmarks.conftest import call_limit_from_env, scale_from_env, sweep_from_env, write_result
+from benchmarks.conftest import scale_from_env, sweep_from_env, sweep_result, write_result
 
 MATH_KERNELS = ("vecadd", "relu", "saxpy", "knn", "sgemm")
 
 
 def _sweep():
-    return run_figure2(MATH_KERNELS, sweep_from_env(), scale=scale_from_env(),
-                       call_simulation_limit=call_limit_from_env())
+    return sweep_result(REGISTRY.get("claims"), MATH_KERNELS)
 
 
 @pytest.mark.benchmark(group="claims")

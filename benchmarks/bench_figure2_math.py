@@ -1,9 +1,9 @@
 """Benchmark E2 (math kernels) -- Figure 2: mapping comparison across machines.
 
-Sweeps the five stand-alone math kernels (vecadd, relu, saxpy, sgemm, kNN)
-over the hardware grid under the three mappings of the paper and writes the
-per-kernel violin statistics (average / %-worse / worst) to
-``benchmarks/results/figure2_math.md``.
+Runs the ``figure2`` scenario for the five stand-alone math kernels
+(vecadd, relu, saxpy, sgemm, kNN): the hardware grid under the three
+mappings of the paper.  Writes the per-kernel violin statistics
+(average / %-worse / worst) to ``benchmarks/results/figure2_math.md``.
 
 The default grid is the 36-configuration ``bench`` grid with ``bench``-scale
 problem sizes; set ``REPRO_SWEEP=paper`` and ``REPRO_SCALE=paper`` to run the
@@ -12,10 +12,10 @@ full 450-configuration, paper-sized sweep.
 
 import pytest
 
-from repro.experiments.figure2 import run_figure2
 from repro.experiments.report import render_figure2_table, render_speedup_summary
+from repro.scenarios import REGISTRY
 
-from benchmarks.conftest import call_limit_from_env, scale_from_env, sweep_from_env, write_result
+from benchmarks.conftest import sweep_result, write_result
 
 MATH_KERNELS = ("vecadd", "relu", "saxpy", "knn")
 #: sgemm is separated out: its inner K-loop makes it the slowest math kernel
@@ -24,12 +24,7 @@ SGEMM = ("sgemm",)
 
 
 def _run_sweep(problem_names):
-    return run_figure2(
-        problem_names,
-        sweep_from_env(),
-        scale=scale_from_env(),
-        call_simulation_limit=call_limit_from_env(),
-    )
+    return sweep_result(REGISTRY.get("figure2"), problem_names)
 
 
 @pytest.mark.benchmark(group="figure2-math")

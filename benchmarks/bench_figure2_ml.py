@@ -3,7 +3,9 @@
 Sweeps the Gaussian filter and the ML layers of the paper (GCN aggregation,
 GCN layer, ResNet20 conv layer) over a reduced hardware grid (the smoke grid
 plus the two largest machines -- see ``benchmarks/conftest.py``) and writes
-the Figure-2 statistics to ``benchmarks/results/figure2_ml.md``.
+the Figure-2 statistics to ``benchmarks/results/figure2_ml.md``.  The grid
+is an unregistered scenario: the registered ``figure2`` one with this
+machine list.
 
 These are the kernels the paper singles out as showing "atypical trends"
 (Gaussian blur, nearest-neighbour search and GCN aggregation), so unlike the
@@ -13,22 +15,30 @@ must not lose on average, but individual configurations may favour a baseline.
 
 import pytest
 
-from repro.experiments.figure2 import run_figure2
+from repro.core.mapper import PAPER_STRATEGIES
 from repro.experiments.report import render_figure2_table, render_speedup_summary
+from repro.scenarios import REGISTRY, GridAxes, Scenario
 
-from benchmarks.conftest import call_limit_from_env, ml_sweep_from_env, scale_from_env, write_result
+from benchmarks.conftest import call_limit_from_env, ml_sweep_from_env, sweep_result, write_result
 
 STENCIL_KERNELS = ("gaussian", "gcn_aggregate")
 LAYER_KERNELS = ("conv2d", "gcn_layer")
 
+FIGURE2_ML = Scenario(
+    name="figure2-ml",
+    description="the Figure-2 strategy sweep on the ML benchmark grid",
+    grid=lambda context: GridAxes(
+        problems=context.problems,
+        configs=tuple(ml_sweep_from_env()),
+        strategies=tuple(PAPER_STRATEGIES),
+        call_simulation_limit=call_limit_from_env(),
+    ),
+    analyze=REGISTRY.get("figure2").analyze,
+)
+
 
 def _run_sweep(problem_names):
-    return run_figure2(
-        problem_names,
-        ml_sweep_from_env(),
-        scale=scale_from_env(),
-        call_simulation_limit=call_limit_from_env(),
-    )
+    return sweep_result(FIGURE2_ML, problem_names)
 
 
 @pytest.mark.benchmark(group="figure2-ml")

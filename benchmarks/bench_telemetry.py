@@ -6,8 +6,9 @@ uninstrumented user pays (almost) nothing for the instrumentation baked into
 the engines, the campaign runner and the sink.  This benchmark turns that
 promise into a gate:
 
-* a figure-2 campaign is timed with the recorder disabled (the default),
-* the same campaign is re-run with every recorder entry point wrapped by a
+* the ``figure2`` scenario is run through the planner with the recorder
+  disabled (the default) and timed,
+* the same run is repeated with every recorder entry point wrapped by a
   call counter, giving the exact number of disabled-path calls it makes,
 * a microbenchmark prices one disabled call (span enter/exit, counter bump,
   histogram observation -- loop overhead included, so the price is an
@@ -27,10 +28,10 @@ import time
 import pytest
 
 from repro.campaign import CampaignRunner
-from repro.experiments.figure2 import run_figure2
+from repro.scenarios import REGISTRY
 from repro.telemetry.recorder import RECORDER, TELEMETRY_ENV
 
-from benchmarks.conftest import call_limit_from_env, scale_from_env, sweep_from_env, write_result
+from benchmarks.conftest import sweep_result, write_result
 
 KERNELS = ("vecadd", "relu")
 
@@ -42,13 +43,11 @@ ENTRY_POINTS = ("span", "record_span", "count", "gauge", "observe")
 
 
 def _run():
-    return run_figure2(KERNELS, sweep_from_env(), scale=scale_from_env(),
-                       call_simulation_limit=call_limit_from_env(),
-                       seed=0, runner=CampaignRunner())
+    return sweep_result(REGISTRY.get("figure2"), KERNELS, runner=CampaignRunner())
 
 
 def _count_disabled_calls():
-    """Run the campaign once counting every recorder entry-point call.
+    """Run the scenario once counting every recorder entry-point call.
 
     The recorder stays disabled, so guarded sites (``if RECORDER.enabled:``)
     skip their calls exactly as they would in production -- the count is the

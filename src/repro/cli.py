@@ -37,8 +37,8 @@ grids expand to content-addressed jobs, results stream to a JSONL sink (so
 interrupted runs resume), and the campaign engine supplies parallel workers
 plus the persistent result cache (``~/.cache/repro`` by default, overridden
 by ``REPRO_CACHE_DIR`` or ``--cache-dir``).  ``figure1``, ``sweep``,
-``report`` and ``campaign run`` are thin aliases over the ported paper
-scenarios, kept for familiarity.
+``report`` and ``campaign run`` are thin aliases over the paper scenarios,
+kept for familiarity.
 
 ``warehouse`` is the SQL analytics tier over everything the journals have
 recorded: ``sync`` ingests the cache, sink *and telemetry* journals

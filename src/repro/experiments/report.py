@@ -4,8 +4,7 @@ The Figure-2 data tables print, per workload and per baseline, the average
 ratio, the fraction of configurations where the baseline was faster ("worse")
 and the worst ratio.  :func:`render_figure2_table` reproduces that table in
 markdown/ASCII; :func:`render_markdown_report` assembles the complete
-experiment report (figures, claims, ablations) that EXPERIMENTS.md is built
-from.
+experiment report (figures, claims) from saved results.
 """
 
 from __future__ import annotations

@@ -11,13 +11,13 @@ The scenario subsystem sits on top of the campaign engine and below the CLI:
   behind ``repro scenario list/run/resume/report``.
 * :mod:`~repro.scenarios.planner` -- :class:`Planner` expands grids into
   concrete :class:`~repro.campaign.spec.JobSpec` objects, dedups execution by
-  content hash, and submits shards through the existing
+  content hash, and submits one shard per engine through the existing
   :class:`~repro.campaign.runner.CampaignRunner` (cache, workers, failure
   isolation included).
 * :mod:`~repro.scenarios.sink` -- :class:`ResultSink` streams one JSONL
   record per completed job, so an interrupted run resumes without
   re-simulating finished points.
-* :mod:`~repro.scenarios.library` -- the built-in scenarios: the four ported
+* :mod:`~repro.scenarios.library` -- the built-in scenarios: the four
   paper experiments (``figure1``, ``figure2``, ``ablation``, ``claims``) and
   the sweeps the abstraction makes cheap (``scaling``, ``scheduler-sweep``,
   ``engine-compare``, ``cache-sensitivity``).
@@ -50,7 +50,6 @@ Declaring a new experiment is a grid plus an analysis function::
 """
 
 from repro.scenarios.planner import (
-    DEFAULT_SHARD_SIZE,
     PlanStats,
     Planner,
     ScenarioError,
@@ -82,7 +81,6 @@ from repro.scenarios.spec import (
 from repro.scenarios import library as _library  # noqa: E402,F401
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "DEFAULT_SINK_DIR",
     "GridAxes",
     "PlanStats",

@@ -3,10 +3,10 @@
 Importing this module registers every built-in scenario in the process-wide
 :data:`~repro.scenarios.registry.REGISTRY`:
 
-* the four ported paper experiments -- ``figure1``, ``figure2``,
-  ``ablation``, ``claims`` -- which declare exactly the grids the hand-written
-  drivers in :mod:`repro.experiments` submit (sharing the grid constants and
-  record-conversion helpers, so the numbers are bit-identical), and
+* the four paper experiments -- ``figure1``, ``figure2``, ``ablation``,
+  ``claims`` -- the only way the repository runs them (the CLI, the service,
+  the fleet and the benchmarks all go through these grids; the grid
+  constants and result models live in :mod:`repro.experiments`), and
 * four sweeps the declarative layer makes cheap -- ``scaling`` (cores 1..32
   at fixed gws), ``scheduler-sweep`` (RR vs GTO across kernels),
   ``engine-compare`` (reference vs fast wall time on identical grids) and
@@ -36,7 +36,11 @@ from repro.experiments.figure1 import (
     FIGURE1_SEED,
     summarize_figure1_launch,
 )
-from repro.experiments.figure2 import Figure2Result, sweep_record_from_job
+from repro.experiments.figure2 import (
+    DEFAULT_CALL_SIMULATION_LIMIT,
+    Figure2Result,
+    sweep_record_from_job,
+)
 from repro.experiments.report import (
     render_figure2_table,
     render_speedup_summary,
@@ -52,6 +56,11 @@ from repro.sim.engine import ENGINES
 DEFAULT_SWEEP_PROBLEMS = ("vecadd", "relu", "saxpy", "sgemm", "knn")
 
 
+def _call_limit(context: ScenarioContext) -> Optional[int]:
+    """``--exact-calls`` simulates every kernel call; otherwise extrapolate."""
+    return None if context.exact_calls else DEFAULT_CALL_SIMULATION_LIMIT
+
+
 def figure2_result_from_run(run) -> Figure2Result:
     """Rebuild a :class:`Figure2Result` from a run's sink records."""
     return Figure2Result(records=[
@@ -61,7 +70,7 @@ def figure2_result_from_run(run) -> Figure2Result:
 
 
 # ----------------------------------------------------------------------
-# Ported paper experiments
+# Paper experiments
 # ----------------------------------------------------------------------
 def _figure1_grid(context: ScenarioContext) -> GridAxes:
     # The Figure-1 study is scale-independent by construction: the paper pins
@@ -100,7 +109,7 @@ def _figure2_grid(context: ScenarioContext) -> GridAxes:
         problems=context.problems if context.problems else DEFAULT_SWEEP_PROBLEMS,
         configs=tuple(sweep_by_name(context.sweep if context.sweep else "smoke")),
         strategies=("lws=1", "lws=32", "ours"),
-        call_simulation_limit=None if context.exact_calls else 3,
+        call_simulation_limit=_call_limit(context),
     )
 
 
@@ -119,7 +128,7 @@ def _ablation_grid(context: ScenarioContext) -> List[GridAxes]:
             problems=("vecadd",),
             configs=(replace(OVERHEAD_BASE_CONFIG, kernel_launch_overhead=overhead),),
             strategies=("naive-lws1", "hardware-aware"),
-            call_simulation_limit=3,
+            call_simulation_limit=DEFAULT_CALL_SIMULATION_LIMIT,
             tags=(("study", "overhead"), ("overhead", overhead)),
         )
         for overhead in DEFAULT_OVERHEADS
@@ -182,7 +191,7 @@ def _scaling_grid(context: ScenarioContext) -> GridAxes:
         configs=tuple(ArchConfig(cores=c, warps_per_core=8, threads_per_warp=8)
                       for c in SCALING_CORES),
         strategies=("ours",),
-        call_simulation_limit=None if context.exact_calls else 3,
+        call_simulation_limit=_call_limit(context),
     )
 
 
@@ -215,7 +224,7 @@ def _scheduler_grid(context: ScenarioContext) -> List[GridAxes]:
             problems=problems,
             configs=(replace(base, warp_scheduler=policy),),
             strategies=("ours",),
-            call_simulation_limit=None if context.exact_calls else 3,
+            call_simulation_limit=_call_limit(context),
             tags=(("scheduler", policy),),
         )
         for policy in ("rr", "gto")
@@ -246,7 +255,7 @@ def _engine_grid(context: ScenarioContext) -> GridAxes:
         configs=(ArchConfig(cores=4, warps_per_core=8, threads_per_warp=8),),
         strategies=("ours",),
         engines=ENGINES,
-        call_simulation_limit=None if context.exact_calls else 3,
+        call_simulation_limit=_call_limit(context),
     )
 
 
@@ -315,7 +324,7 @@ def _cache_grid(context: ScenarioContext) -> List[GridAxes]:
             problems=problems,
             configs=(replace(base, l1_size_words=l1, l2_size_words=l2),),
             strategies=("ours",),
-            call_simulation_limit=None if context.exact_calls else 3,
+            call_simulation_limit=_call_limit(context),
             tags=(("l1_words", l1), ("l2_words", l2)),
         )
         for l1, l2 in CACHE_SWEEP_POINTS

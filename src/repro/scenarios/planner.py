@@ -7,7 +7,7 @@ by (engine-qualified) content hash.  ``Planner.run`` then:
 
 1. loads the :class:`~repro.scenarios.sink.ResultSink` (if any) and drops
    every planned job whose key is already recorded -- this is resume;
-2. groups the remaining jobs by pinned engine and splits them into shards,
+2. groups the remaining jobs by pinned engine into one shard per engine,
    each submitted through the existing
    :class:`~repro.campaign.runner.CampaignRunner` (cache-first, deduped,
    parallel workers) with a progress hook that appends one sink record the
@@ -42,14 +42,6 @@ from repro.scenarios.spec import (
 )
 from repro.telemetry.recorder import RECORDER
 from repro.workloads.problems import problem_global_size
-
-#: Default shard size: ``None`` submits one shard per engine group.  The sink
-#: is appended per *job* (the campaign progress hook fires on every
-#: completion), so smaller shards buy nothing on the happy path -- chunking
-#: exists for callers that want to bound how much work a single
-#: campaign-runner call (and its worker pool) owns.
-DEFAULT_SHARD_SIZE = None
-
 
 class ScenarioError(RuntimeError):
     """Raised when a scenario run finishes with failed jobs."""
@@ -125,25 +117,21 @@ class ScenarioRun:
 class Planner:
     """Expands scenario grids and drives them through the campaign engine."""
 
-    def __init__(self, runner: Optional[CampaignRunner] = None,
-                 shard_size: Optional[int] = DEFAULT_SHARD_SIZE):
-        if shard_size is not None and shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1 or None, got {shard_size}")
+    def __init__(self, runner: Optional[CampaignRunner] = None):
         self.runner = runner if runner is not None else CampaignRunner()
-        self.shard_size = shard_size
 
     # ------------------------------------------------------------------
     def plan(self, scenario: Scenario,
              context: Optional[ScenarioContext] = None) -> List[PlannedJob]:
         """Expand the grid into one planned job per grid point, in grid order.
 
-        Axis order is ``seed > problem > size > config > strategy > engine``
-        (matching the hand-written drivers, so ported scenarios submit their
-        grids in the identical order).  Points whose specs coincide -- two
-        strategies resolving to the same lws on some machine -- all stay in
-        the plan (each carries its own meta tags for analysis); execution
-        dedups them by key (:meth:`unique_jobs`), so every distinct point is
-        simulated once and the sink holds exactly one record per key.
+        Axis order is ``seed > problem > size > config > strategy > engine``,
+        so records come back problem-major, one strategy after another per
+        machine.  Points whose specs coincide -- two strategies resolving to
+        the same lws on some machine -- all stay in the plan (each carries
+        its own meta tags for analysis); execution dedups them by key
+        (:meth:`unique_jobs`), so every distinct point is simulated once and
+        the sink holds exactly one record per key.
         """
         context = context if context is not None else ScenarioContext(
             scale=scenario.default_scale)
@@ -348,6 +336,8 @@ class Planner:
                 hint += f" --seed {context.seed}"
             if context.problems:
                 hint += f" --kernels {','.join(context.problems)}"
+            if context.exact_calls:
+                hint += " --exact-calls"
             raise ScenarioError(
                 f"scenario {scenario.name!r}: sink covers "
                 f"{len(unique) - len(missing)} of {len(unique)} job(s); "
@@ -365,28 +355,17 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    def _shards(self, pending: Sequence[PlannedJob]):
-        """Yield ``(engine, jobs)`` shards: engine groups, optionally chunked.
+    @staticmethod
+    def _shards(pending: Sequence[PlannedJob]):
+        """Yield ``(engine, jobs)`` shards, one per engine group.
 
         Grouping by engine keeps each campaign-runner call homogeneous (the
         engine is passed per call and pinned around every job, wherever it
-        executes).  With the default ``shard_size=None`` each engine group
-        is one shard; the runner's executor -- and its warm worker pool --
-        is shared across all of a submission's shards, and the per-job
-        progress hook already streams the sink.  An explicit ``shard_size``
-        additionally bounds how much work a single campaign-runner call owns.
+        executes).  The runner's executor -- and its warm worker pool -- is
+        shared across all of a submission's shards, and the per-job progress
+        hook streams the sink.
         """
         groups: Dict[Optional[str], List[PlannedJob]] = {}
-        order: List[Optional[str]] = []
         for job in pending:
-            if job.engine not in groups:
-                groups[job.engine] = []
-                order.append(job.engine)
-            groups[job.engine].append(job)
-        for engine in order:
-            jobs = groups[engine]
-            chunk = self.shard_size if self.shard_size is not None else len(jobs)
-            for start in range(0, len(jobs), max(chunk, 1)):
-                yield engine, jobs[start:start + max(chunk, 1)]
-
-
+            groups.setdefault(job.engine, []).append(job)
+        yield from groups.items()

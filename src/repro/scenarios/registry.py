@@ -2,8 +2,8 @@
 
 One process-wide :class:`ScenarioRegistry` (:data:`REGISTRY`) holds every
 declared :class:`~repro.scenarios.spec.Scenario`.  The built-in library
-(:mod:`repro.scenarios.library`) registers the four ported paper experiments
-and the new sweeps on import; downstream code adds its own with
+(:mod:`repro.scenarios.library`) registers the four paper experiments and
+the other built-in sweeps on import; downstream code adds its own with
 :func:`register` and they immediately appear in ``repro scenario list`` --
 no CLI or driver changes required.
 """

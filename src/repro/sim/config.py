@@ -60,7 +60,8 @@ class ArchConfig:
 
     # runtime / launch costs.  The launch overhead is the driver + spawn cost
     # every sequential kernel call pays; 32 cycles keeps the lws=1 penalty in
-    # the same range the paper reports for Vortex (see EXPERIMENTS.md).
+    # the same range the paper reports for Vortex (the ``ablation`` scenario
+    # sweeps it).
     kernel_launch_overhead: int = 32
     warp_spawn_cost: int = 1
     barrier_latency: int = 2

@@ -3,7 +3,7 @@
 Real datasets used in the paper (Cora for the GCN kernels, CIFAR-10 for the
 ResNet20 layer, the 42 764-point record set for kNN) are replaced by seeded
 synthetic data of the same shape -- only the memory-access structure matters
-for the mapping study (see DESIGN.md, substitutions table).
+for the mapping study.
 
 * :mod:`~repro.workloads.tensors` -- deterministic random vectors/matrices.
 * :mod:`~repro.workloads.graphs`  -- synthetic CSR graphs with Cora-like shape.

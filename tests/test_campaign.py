@@ -30,9 +30,10 @@ from repro.campaign import (
     execute_job,
 )
 from repro.campaign.cache import CACHE_DIR_ENV, default_cache_dir
-from repro.experiments.figure2 import run_figure2
 from repro.isa.latencies import FunctionalUnit, OpTiming
 from repro.isa.opcodes import Opcode
+from repro.scenarios import REGISTRY, GridAxes, Planner, Scenario, ScenarioContext
+from repro.scenarios.library import figure2_result_from_run
 from repro.sim.config import ArchConfig
 from repro.workloads.problems import UnknownProblemError, make_problem
 
@@ -385,32 +386,40 @@ class TestCampaignRunner:
 # experiments through the campaign engine
 # ----------------------------------------------------------------------
 class TestExperimentsThroughCampaign:
-    CONFIGS = [ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c4w4t")]
+    CONFIGS = (ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c4w4t"))
+
+    def figure2(self, runner, problems, configs=CONFIGS, seed=0):
+        """A Figure-2 grid run through the planner on ``runner``."""
+        scenario = Scenario(
+            name="figure2-tiny",
+            description="the Figure-2 strategies on a few machines",
+            grid=GridAxes(problems=problems, configs=configs,
+                          strategies=("lws=1", "lws=32", "ours"),
+                          call_simulation_limit=3),
+            analyze=REGISTRY.get("figure2").analyze,
+        )
+        context = ScenarioContext(scale="smoke", seed=seed)
+        return figure2_result_from_run(Planner(runner=runner).run(scenario, context))
 
     def test_figure2_second_run_is_fully_cache_served(self, tmp_path):
-        kwargs = dict(scale="smoke", call_simulation_limit=3, seed=0)
         cold_runner = CampaignRunner(cache=ResultCache(tmp_path))
-        cold = run_figure2(["vecadd"], self.CONFIGS, runner=cold_runner, **kwargs)
+        cold = self.figure2(cold_runner, ("vecadd",))
         warm_runner = CampaignRunner(cache=ResultCache(tmp_path))
-        warm = run_figure2(["vecadd"], self.CONFIGS, runner=warm_runner, **kwargs)
+        warm = self.figure2(warm_runner, ("vecadd",))
         assert warm_runner.cache.misses == 0             # every point served
         assert [r.as_dict() for r in warm.records] == [r.as_dict() for r in cold.records]
 
     def test_figure2_parallel_matches_serial(self):
-        kwargs = dict(scale="smoke", call_simulation_limit=3, seed=0)
-        serial = run_figure2(["vecadd", "relu"], self.CONFIGS,
-                             runner=CampaignRunner(workers=1), **kwargs)
-        parallel = run_figure2(["vecadd", "relu"], self.CONFIGS,
-                               runner=CampaignRunner(workers=4), **kwargs)
+        serial = self.figure2(CampaignRunner(workers=1), ("vecadd", "relu"))
+        parallel = self.figure2(CampaignRunner(workers=4), ("vecadd", "relu"))
         assert [r.as_dict() for r in serial.records] \
             == [r.as_dict() for r in parallel.records]
 
     def test_figure2_seed_changes_the_grid_points(self, tmp_path):
         cache = ResultCache(tmp_path)
-        kwargs = dict(scale="smoke", call_simulation_limit=3)
         runner = CampaignRunner(cache=cache)
-        run_figure2(["vecadd"], self.CONFIGS[:1], seed=0, runner=runner, **kwargs)
-        run_figure2(["vecadd"], self.CONFIGS[:1], seed=7, runner=runner, **kwargs)
+        self.figure2(runner, ("vecadd",), self.CONFIGS[:1], seed=0)
+        self.figure2(runner, ("vecadd",), self.CONFIGS[:1], seed=7)
         assert cache.hits == 0                           # different seed, no reuse
 
 

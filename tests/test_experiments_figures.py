@@ -1,23 +1,42 @@
 """Tests for the Figure-1 / Figure-2 harnesses, claims, ablations and reports.
 
 These run real (tiny) sweeps on the simulator, so they use smoke-scale
-problems and the smallest configuration grids.
+problems and the smallest configuration grids.  Figure-2 and ablation grids
+are unregistered scenarios run through the planner, the one path every
+experiment takes.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablation import boundedness_study, overhead_sensitivity
+from repro.core.mapper import PAPER_STRATEGIES
+from repro.experiments.ablation import boundedness_record_from_job, overhead_records
 from repro.experiments.claims import evaluate_claims
-from repro.experiments.configs import smoke_sweep
-from repro.experiments.figure1 import FIGURE1_LWS_VALUES, run_figure1
-from repro.experiments.figure2 import Figure2Result, SweepRecord, run_figure2
+from repro.experiments.figure1 import run_figure1
+from repro.experiments.figure2 import SweepRecord
 from repro.experiments.report import (
     render_figure2_table,
     render_markdown_report,
     render_speedup_summary,
     render_table,
 )
+from repro.scenarios import (
+    RUNTIME_STRATEGY,
+    GridAxes,
+    Planner,
+    Scenario,
+    ScenarioContext,
+)
+from repro.scenarios.library import figure2_result_from_run
 from repro.sim.config import ArchConfig
+
+
+def run_grid(grid):
+    """Run ``grid`` at smoke scale as an unregistered scenario."""
+    scenario = Scenario(name="test", description="test grid", grid=grid,
+                        analyze=lambda run: "")
+    return Planner().run(scenario, ScenarioContext(scale="smoke"))
 
 
 # ----------------------------------------------------------------------
@@ -68,10 +87,11 @@ class TestFigure1:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def figure2():
-    configs = [ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c4w4t"),
-               ArchConfig.from_name("8c8w8t")]
-    return run_figure2(["vecadd", "sgemm"], configs, scale="smoke",
-                       call_simulation_limit=3)
+    configs = (ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c4w4t"),
+               ArchConfig.from_name("8c8w8t"))
+    return figure2_result_from_run(run_grid(GridAxes(
+        problems=("vecadd", "sgemm"), configs=configs,
+        strategies=tuple(PAPER_STRATEGIES), call_simulation_limit=3)))
 
 
 class TestFigure2:
@@ -108,18 +128,6 @@ class TestFigure2:
             figure2.cycles("vecadd", "1c2w2t", "lws=99")
         with pytest.raises(KeyError):
             figure2.ratios("vecadd", "lws=99")
-
-    def test_strategies_must_include_ours(self):
-        from repro.core.mapper import NaiveMapping
-        with pytest.raises(ValueError, match="ours"):
-            run_figure2(["vecadd"], [ArchConfig.from_name("1c2w2t")], scale="smoke",
-                        strategies={"lws=1": NaiveMapping()})
-
-    def test_progress_callback_is_invoked(self):
-        seen = []
-        run_figure2(["vecadd"], [ArchConfig.from_name("1c2w2t")], scale="smoke",
-                    progress=lambda *args: seen.append(args))
-        assert len(seen) == 3
 
 
 # ----------------------------------------------------------------------
@@ -158,19 +166,27 @@ class TestClaimsAndReports:
         assert len(lines) == 4
         assert all(line.startswith("|") and line.endswith("|") for line in lines)
 
-    def test_overhead_sensitivity_ablation_is_monotone(self):
-        records = overhead_sensitivity("vecadd", scale="smoke",
-                                       config=ArchConfig.from_name("2c2w4t"),
-                                       overheads=(0, 64, 512))
+    def test_overhead_ablation_is_monotone(self):
+        overheads = (0, 64, 512)
+        base = ArchConfig.from_name("2c2w4t")
+        cycles = [job.cycles for job in run_grid([
+            GridAxes(problems=("vecadd",),
+                     configs=(replace(base, kernel_launch_overhead=overhead),),
+                     strategies=("naive-lws1", "hardware-aware"),
+                     call_simulation_limit=3)
+            for overhead in overheads]).results()]
+        records = overhead_records(overheads, zip(cycles[::2], cycles[1::2]))
         assert len(records) == 3
         ratios = [r.ratio for r in records]
         # more launch overhead -> the naive lws=1 mapping falls further behind
         assert ratios[0] <= ratios[1] <= ratios[2]
         assert records[0].naive_cycles > 0
 
-    def test_boundedness_study_classifies_each_problem(self):
-        records = boundedness_study(["vecadd", "sgemm"], scale="smoke",
-                                    config=ArchConfig.from_name("1c2w4t"))
+    def test_boundedness_ablation_classifies_each_problem(self):
+        run = run_grid(GridAxes(problems=("vecadd", "sgemm"),
+                                configs=(ArchConfig.from_name("1c2w4t"),),
+                                strategies=(RUNTIME_STRATEGY,)))
+        records = [boundedness_record_from_job(job) for job in run.results()]
         by_name = {r.problem: r for r in records}
         assert set(by_name) == {"vecadd", "sgemm"}
         for record in records:

@@ -2,13 +2,26 @@
 
 import pytest
 
-from repro.experiments.figure2 import Figure2Result, SweepRecord, run_figure2
+from repro.core.mapper import PAPER_STRATEGIES
+from repro.experiments.figure2 import Figure2Result, SweepRecord
+from repro.scenarios import GridAxes, Planner, Scenario, ScenarioContext
+from repro.scenarios.library import figure2_result_from_run
 from repro.sim.config import ArchConfig
 
 
 def _tiny_result() -> Figure2Result:
-    configs = [ArchConfig.from_name("1c2w2t"), ArchConfig.from_name("2c2w4t")]
-    return run_figure2(["vecadd"], configs, scale="smoke", call_simulation_limit=3)
+    scenario = Scenario(
+        name="tiny-sweep",
+        description="vecadd on two machines under the paper's mappings",
+        grid=GridAxes(problems=("vecadd",),
+                      configs=(ArchConfig.from_name("1c2w2t"),
+                               ArchConfig.from_name("2c2w4t")),
+                      strategies=tuple(PAPER_STRATEGIES),
+                      call_simulation_limit=3),
+        analyze=lambda run: "",
+    )
+    run = Planner().run(scenario, ScenarioContext(scale="smoke"))
+    return figure2_result_from_run(run)
 
 
 def test_sweep_record_dict_round_trip():

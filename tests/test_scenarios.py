@@ -1,26 +1,23 @@
 """Tests for the declarative scenario layer (repro.scenarios).
 
 Covers the registry round-trip, planner grid expansion and execution dedup,
-kill-and-resume from a half-written JSONL sink, and -- most importantly --
-bit-identical equality of the ported figure1/figure2/ablation/claims
-scenarios against the pre-refactor experiment drivers.
+kill-and-resume from a half-written JSONL sink, the figure1 scenario against
+the traced Figure-1 driver, and sanity of the claims, ablation and other
+built-in scenarios.
 """
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.runner import CampaignRunner
-from repro.experiments.ablation import (
-    boundedness_record_from_job,
-    boundedness_study,
-    overhead_sensitivity,
-)
+from repro.cli import _grid_context, build_parser
+from repro.experiments.ablation import DEFAULT_OVERHEADS, boundedness_record_from_job
 from repro.experiments.claims import evaluate_claims
-from repro.experiments.configs import smoke_sweep
 from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
 from repro.scenarios import (
     GridAxes,
     Planner,
@@ -159,8 +156,7 @@ class TestPlanner:
 
     def test_shards_preserve_submission_order(self):
         scenario = tiny_scenario(strategies=("lws=1", "lws=32", "ours"))
-        planner = Planner(shard_size=2)
-        run = planner.run(scenario, SMOKE)
+        run = Planner().run(scenario, SMOKE)
         assert [r.job_hash for r in run.records] == \
                [j.spec.content_hash() for j in run.plan]
 
@@ -205,8 +201,13 @@ class TestSinkResume:
     def test_completed_run_resumes_without_executing(self, tmp_path):
         scenario = tiny_scenario()
         sink = ResultSink(tmp_path / "tiny.jsonl")
-        first = Planner().run(scenario, SMOKE, sink=sink)
-        second = Planner().run(scenario, SMOKE, sink=sink)
+        seen = []
+        first = Planner().run(scenario, SMOKE, sink=sink,
+                              progress=lambda *args: seen.append(args))
+        second = Planner().run(scenario, SMOKE, sink=sink,
+                               progress=lambda *args: seen.append(args))
+        # progress fires once per executed job, never for resumed ones
+        assert [(done, total) for done, total, _ in seen] == [(1, 2), (2, 2)]
         assert second.stats.executed == 0
         assert second.stats.resumed == 2
         assert [r.result.cycles for r in second.records] == \
@@ -255,17 +256,24 @@ class TestSinkResume:
         assert len(loaded.records) == 2
         assert loaded.report()
 
+    def test_missing_jobs_hint_replans_the_same_grid(self, tmp_path):
+        # Every grid-shaping flag changes content hashes, so the printed
+        # resume command must parse back to the very same context.
+        context = ScenarioContext(scale="smoke", seed=3, exact_calls=True,
+                                  problems=("vecadd",), sweep="smoke")
+        with pytest.raises(ScenarioError) as raised:
+            Planner().load(REGISTRY.get("figure2"), context,
+                           sink=ResultSink(tmp_path / "figure2.jsonl"))
+        hint = re.search(r"run `repro ([^`]*)`", str(raised.value)).group(1)
+        assert _grid_context(build_parser().parse_args(shlex.split(hint))) == context
+
 
 # ----------------------------------------------------------------------
-# Ported scenarios reproduce the pre-refactor driver numbers
+# The figure1 scenario reproduces the traced Figure-1 driver's numbers
 # ----------------------------------------------------------------------
 class TestPortedScenarioEquality:
-    @pytest.fixture(scope="class")
-    def planner(self):
-        return Planner()
-
-    def test_figure1_numbers_match_the_driver(self, planner):
-        run = planner.run(REGISTRY.get("figure1"), SMOKE)
+    def test_figure1_numbers_match_the_driver(self):
+        run = Planner().run(REGISTRY.get("figure1"), SMOKE)
         driver = run_figure1()
         assert len(run.records) == len(driver.traces)
         for record in run.records:
@@ -277,42 +285,29 @@ class TestPortedScenarioEquality:
             # the driver's caption line appears verbatim in the report
             assert trace.summary() in run.report()
 
-    def test_figure2_records_match_the_driver_bit_for_bit(self, planner):
-        run = planner.run(REGISTRY.get("figure2"), SMOKE)
-        scenario_result = figure2_result_from_run(run)
-        driver_result = run_figure2(list(DEFAULT_SWEEP_PROBLEMS), smoke_sweep(),
-                                    scale="smoke", call_simulation_limit=3)
-        assert [r.as_dict() for r in scenario_result.records] == \
-               [r.as_dict() for r in driver_result.records]
 
-    def test_claims_match_the_driver(self, planner):
-        run = planner.run(REGISTRY.get("claims"), SMOKE)
-        scenario_claims = evaluate_claims(figure2_result_from_run(run))
-        driver_claims = evaluate_claims(
-            run_figure2(list(DEFAULT_SWEEP_PROBLEMS), smoke_sweep(),
-                        scale="smoke", call_simulation_limit=3))
-        assert scenario_claims.render() == driver_claims.render()
-        assert scenario_claims.render() == run.report()
+class TestPaperScenarios:
+    def test_claims_report_evaluates_all_four_claims(self):
+        context = ScenarioContext(scale="smoke", sweep="smoke",
+                                  problems=("vecadd", "relu"))
+        run = Planner().run(REGISTRY.get("claims"), context)
+        claims = evaluate_claims(figure2_result_from_run(run))
+        assert run.report() == claims.render()
+        assert [c.claim_id for c in claims.outcomes] == ["C1", "C2", "C3", "C4"]
 
-    def test_ablation_matches_both_driver_studies(self, planner):
-        run = planner.run(REGISTRY.get("ablation"), ScenarioContext(scale="smoke"))
-        overhead_driver = overhead_sensitivity(scale="smoke")
-        cycles = {}
-        for record in run.records:
-            if record.meta["study"] == "overhead":
-                cycles.setdefault(int(record.meta["overhead"]), {})[
-                    record.meta["strategy"]] = record.result.cycles
-        for driver_record in overhead_driver:
-            measured = cycles[driver_record.launch_overhead]
-            assert measured["naive-lws1"] == driver_record.naive_cycles
-            assert measured["hardware-aware"] == driver_record.ours_cycles
-
-        boundedness_driver = boundedness_study(list(DEFAULT_SWEEP_PROBLEMS),
-                                               scale="smoke")
-        scenario_bound = [boundedness_record_from_job(r.result)
-                          for r in run.records
-                          if r.meta["study"] == "boundedness"]
-        assert scenario_bound == boundedness_driver
+    def test_ablation_report_covers_both_studies(self):
+        run = Planner().run(REGISTRY.get("ablation"), ScenarioContext(scale="smoke"))
+        report = run.report()
+        overhead = [(int(r.meta["overhead"]), r.meta["strategy"])
+                    for r in run.records if r.meta["study"] == "overhead"]
+        assert overhead == [(o, s) for o in DEFAULT_OVERHEADS
+                            for s in ("naive-lws1", "hardware-aware")]
+        bound = [boundedness_record_from_job(r.result)
+                 for r in run.records if r.meta["study"] == "boundedness"]
+        assert [b.problem for b in bound] == list(DEFAULT_SWEEP_PROBLEMS)
+        assert "A1 -- launch-overhead sensitivity" in report
+        for b in bound:
+            assert f"| {b.problem} " in report and b.boundedness in report
 
 
 # ----------------------------------------------------------------------
